@@ -4,13 +4,21 @@ A summarizer of G = (V, E) is a graph G' with V(G') ⊆ V(G) (or
 aggregated super-vertices), E(G') ⊆ E(G), and strictly fewer vertices
 or edges. Filters take Spark SQL boolean expressions over the vertex /
 edge columns (``vtype``, ``cpu``, ``pname`` / ``etype``, ``ts``), so
-predicates run inside Catalyst.
+predicates run inside Catalyst. Predicates follow SQL three-valued
+logic: inclusion keeps the rows where the predicate is TRUE, removal
+(and the unmatched rest of an aggregator) the rows where it is not
+TRUE — FALSE or NULL — so every row lands on exactly one side.
 """
 from __future__ import annotations
 
 from pyspark.sql import functions as F
 
 from ..engine.property_graph import PropertyGraph
+
+
+def _not_true(predicate: str):
+    """SQL ``predicate IS NOT TRUE``: FALSE or NULL."""
+    return ~F.coalesce(F.expr(predicate), F.lit(False))
 
 
 def _induced_edges(graph: PropertyGraph, kept_vertices):
@@ -36,7 +44,7 @@ def vertex_inclusion(graph: PropertyGraph, predicate: str) -> PropertyGraph:
 def vertex_removal(graph: PropertyGraph, predicate: str) -> PropertyGraph:
     """Remove vertices satisfying ``predicate`` and their incident edges
     (Table II: vertex-removal summarizer)."""
-    vertices = graph.vertices.where(~F.expr(predicate))
+    vertices = graph.vertices.where(_not_true(predicate))
     return PropertyGraph(
         vertices=vertices,
         edges=_induced_edges(graph, vertices),
@@ -64,7 +72,7 @@ def edge_removal(graph: PropertyGraph, predicate: str) -> PropertyGraph:
     """Remove edges satisfying ``predicate``; vertices unchanged."""
     return PropertyGraph(
         vertices=graph.vertices,
-        edges=graph.edges.where(~F.expr(predicate)),
+        edges=graph.edges.where(_not_true(predicate)),
         name=f"{graph.name}:e_rm",
     )
 
@@ -90,7 +98,7 @@ def vertex_aggregator(
     types). Edges are re-pointed at super-vertices."""
     aggs = {"cpu": "sum"} | (aggs or {})  # cpu always present in the core schema
     matched = graph.vertices.where(F.expr(predicate))
-    rest = graph.vertices.where(~F.expr(predicate))
+    rest = graph.vertices.where(_not_true(predicate))
     grouped = matched.withColumn("_g", F.expr(group_expr))
     mapping = grouped.groupBy("_g").agg(F.min("id").alias("new_id"))
     member_map = grouped.select("id", "_g").join(mapping, "_g").select("id", "new_id")
@@ -137,7 +145,7 @@ def edge_aggregator(
     edge-aggregator)."""
     aggs = aggs or {"ts": "max"}
     matched = graph.edges.where(F.expr(predicate))
-    rest = graph.edges.where(~F.expr(predicate))
+    rest = graph.edges.where(_not_true(predicate))
     super_edges = (
         matched.groupBy("src", "dst", "etype")
         .agg(*_agg_exprs(aggs))

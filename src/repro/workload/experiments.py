@@ -44,6 +44,7 @@ from .queries import (
     q6_vertex_count,
     q7_communities,
     q8_largest_community,
+    timed,
     timed_count,
 )
 
@@ -223,9 +224,7 @@ def _run_queries(
 ) -> list[dict]:
     rows = []
 
-    def record(query, base_df, view_df):
-        nb, tb = timed_count(base_df)
-        nv, tv = timed_count(view_df)
+    def row(query, tb, tv, nb, nv):
         rows.append(
             {
                 "dataset": spec.name,
@@ -238,52 +237,43 @@ def _run_queries(
             }
         )
 
+    def record(query, base, view):
+        """Time the whole call of each plan's query thunk."""
+        (nb, tb), (nv, tv) = timed_count(base), timed_count(view)
+        row(query, tb, tv, nb, nv)
+
+    path_queries = [
+        ("Q2 ancestors", q2_ancestors, q2_ancestors_view),
+        ("Q3 descendants", q3_descendants, q3_descendants_view),
+        ("Q4 path lengths", q4_path_lengths, q4_path_lengths_view),
+    ]
     if spec.heterogeneous:
-        record(
-            "Q1 blast radius",
-            q1_blast_radius(graph, spec),
-            q1_blast_radius_view(connector, spec),
-        )
-    record("Q2 ancestors", q2_ancestors(graph, spec), q2_ancestors_view(connector, spec))
-    record(
-        "Q3 descendants",
-        q3_descendants(graph, spec),
-        q3_descendants_view(connector, spec),
-    )
-    record(
-        "Q4 path lengths",
-        q4_path_lengths(graph, spec),
-        q4_path_lengths_view(connector, spec),
-    )
-    record("Q5 edge count", q5_edge_count(graph), q5_edge_count(graph))
-    record("Q6 vertex count", q6_vertex_count(graph), q6_vertex_count(graph))
+        path_queries.insert(0, ("Q1 blast radius", q1_blast_radius, q1_blast_radius_view))
+    for query, base, view in path_queries:
+        record(query, lambda: base(graph, spec), lambda: view(connector, spec))
+    for query, count in (("Q5 edge count", q5_edge_count), ("Q6 vertex count", q6_vertex_count)):
+        record(query, lambda: count(graph), lambda: count(graph))
+
     # Q7/Q8: baseline = full iterations on the graph; view = half on the
     # connector (§ VII-C). Q8 consumes Q7's labels.
-    import time as _t
+    def communities(g, iters):
+        labels = q7_communities(g, iters).persist()
+        labels.count()
+        return labels
 
-    t0 = _t.perf_counter()
-    base_labels = q7_communities(graph, lpa_iters).persist()
-    base_labels.count()
-    tb = _t.perf_counter() - t0
-    t0 = _t.perf_counter()
-    view_labels = q7_communities(connector, lpa_iters // 2).persist()
-    view_labels.count()
-    tv = _t.perf_counter() - t0
-    rows.append(
-        {
-            "dataset": spec.name,
-            "query": "Q7 community detection",
-            "baseline_s": round(tb, 3),
-            "view_s": round(tv, 3),
-            "speedup": round(tb / tv, 2) if tv > 0 else float("inf"),
-            "baseline_rows": base_labels.select("community").distinct().count(),
-            "view_rows": view_labels.select("community").distinct().count(),
-        }
+    base_labels, tb = timed(lambda: communities(graph, lpa_iters))
+    view_labels, tv = timed(lambda: communities(connector, lpa_iters // 2))
+    row(
+        "Q7 community detection",
+        tb,
+        tv,
+        base_labels.select("community").distinct().count(),
+        view_labels.select("community").distinct().count(),
     )
     record(
         "Q8 largest community",
-        q8_largest_community(base_labels, graph, spec),
-        q8_largest_community(view_labels, connector, spec),
+        lambda: q8_largest_community(base_labels, graph, spec),
+        lambda: q8_largest_community(view_labels, connector, spec),
     )
     base_labels.unpersist()
     view_labels.unpersist()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -40,6 +41,8 @@ from ..engine.traversal import (
 )
 from ..views.algorithms import label_propagation, largest_community
 from ..views.connectors import khop_connector, materialize, upto_khop_connector
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -273,8 +276,15 @@ def q8_largest_community(
 # ---------------------------------------------------------------------------
 
 
-def timed_count(df: DataFrame) -> tuple[int, float]:
-    """Force full evaluation of a query result; returns (rows, seconds)."""
+def timed(fn: Callable[[], T]) -> tuple[T, float]:
+    """Run ``fn``; returns (its result, seconds)."""
     t0 = time.perf_counter()
-    n = df.count()
-    return n, time.perf_counter() - t0
+    out = fn()
+    return out, time.perf_counter() - t0
+
+
+def timed_count(query: Callable[[], DataFrame]) -> tuple[int, float]:
+    """Build a query result with ``query`` and force its full evaluation;
+    returns (rows, seconds). The timer covers the whole call, including
+    any work the query function does eagerly (Q8 collects)."""
+    return timed(lambda: query().count())

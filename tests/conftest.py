@@ -114,3 +114,48 @@ def max_ts_sql(lower: int, upper: int) -> str:
     SELECT src, dst, MAX(m) AS m FROM walk
     WHERE k BETWEEN {lower} AND {upper} GROUP BY src, dst
     """
+
+
+def contracted_sql(
+    max_hops: int,
+    start: str = "TRUE",
+    through: str = "TRUE",
+    end: str = "TRUE",
+    edge_pred: str = "TRUE",
+) -> str:
+    """Oracle for the ``ts``/``hops`` columns of a connector: per pair,
+    over every walk of 1..``max_hops`` edges satisfying ``edge_pred``
+    whose first vertex satisfies ``start``, interior vertices
+    ``through`` and last vertex ``end`` (predicates over vertex alias
+    ``v``), the max edge ``ts`` (``ts``) and the shortest length
+    (``hops``)."""
+    return f"""
+    WITH RECURSIVE e AS (SELECT * FROM edges WHERE {edge_pred}),
+    walk(src, dst, m, k) AS (
+        SELECT e.src, e.dst, e.ts, 1 FROM e JOIN vertices v ON e.src = v.id
+        WHERE {start}
+        UNION ALL
+        SELECT w.src, e.dst, GREATEST(w.m, e.ts), w.k + 1
+        FROM walk w JOIN e ON w.dst = e.src JOIN vertices v ON w.dst = v.id
+        WHERE w.k < {max_hops} AND {through}
+    )
+    SELECT w.src, w.dst, MAX(w.m) AS ts, MIN(w.k) AS hops
+    FROM walk w JOIN vertices v ON w.dst = v.id
+    WHERE {end}
+    GROUP BY w.src, w.dst
+    """
+
+
+def walk_count_sql(k: int, exclude_loops: bool = True) -> str:
+    """Oracle for khop_walk_count: the number of k-edge walks (with
+    ``exclude_loops``, those whose endpoints differ)."""
+    return f"""
+    WITH RECURSIVE walk(src, dst, k) AS (
+        SELECT src, dst, 1 FROM edges
+        UNION ALL
+        SELECT w.src, e.dst, w.k + 1 FROM walk w
+        JOIN edges e ON w.dst = e.src WHERE w.k < {k}
+    )
+    SELECT COUNT(*) AS n FROM walk
+    WHERE k = {k} {"AND src <> dst" if exclude_loops else ""}
+    """

@@ -12,7 +12,21 @@ from repro.views import (
     upto_khop_connector,
 )
 
-from .conftest import max_ts_sql
+from .conftest import contracted_sql, max_ts_sql
+
+SOURCE = "v.id NOT IN (SELECT dst FROM edges)"
+SINK = "v.id NOT IN (SELECT src FROM edges)"
+
+
+def _assert_columns(view, sql, pdf):
+    """The connector's (src, dst, ts, hops) rows equal the oracle's."""
+    vertices, edges = pdf
+    assert_equivalent(
+        view.edges.select("src", "dst", "ts", "hops"),
+        sql,
+        vertices=vertices,
+        edges=edges,
+    )
 
 
 class TestKhopConnector:
@@ -92,12 +106,34 @@ class TestUptoKhopConnector:
         row = view.edges.where("src = 1 AND dst = 4").collect()[0]
         assert row["hops"] == 1
 
+    @pytest.mark.parametrize("name,k", [("fig3", 4), ("cyclic", 3)])
+    def test_columns_match_oracle(self, request, name, k):
+        _assert_columns(
+            upto_khop_connector(request.getfixturevalue(name), k),
+            contracted_sql(k),
+            request.getfixturevalue(f"{name}_pdf"),
+        )
+
     def test_keeps_all_vertices(self, cyclic):
         assert upto_khop_connector(cyclic, 2).vertex_count() == 5
 
     def test_k1_equals_edge_dedup(self, fig3):
         view = upto_khop_connector(fig3, 1)
         assert view.edge_count() == 8
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda g: same_vertex_type_connector(g, "Job", 0),
+        lambda g: same_edge_type_connector(g, "WRITES_TO", 0),
+        lambda g: source_to_sink_connector(g, 0),
+    ],
+    ids=["same_vertex_type", "same_edge_type", "source_to_sink"],
+)
+def test_zero_max_hops_rejected(fig3, build):
+    with pytest.raises(ValueError, match="at least one edge"):
+        build(fig3)
 
 
 class TestSameVertexTypeConnector:
@@ -120,6 +156,20 @@ class TestSameVertexTypeConnector:
         got = {(r["src"], r["dst"]) for r in view.edges.collect()}
         assert got == {(11, 12), (11, 13), (12, 14), (13, 14)}
 
+    @pytest.mark.parametrize(
+        "name,vtype,max_hops",
+        [("fig3", "Job", 1), ("fig3", "Job", 2), ("fig3", "File", 6),
+         ("cyclic", "Vertex", 3)],
+    )
+    def test_columns_match_oracle(self, request, name, vtype, max_hops):
+        graph = request.getfixturevalue(name)
+        is_type = f"v.vtype = '{vtype}'"
+        _assert_columns(
+            same_vertex_type_connector(graph, vtype, max_hops),
+            contracted_sql(max_hops, is_type, f"v.vtype <> '{vtype}'", is_type),
+            request.getfixturevalue(f"{name}_pdf"),
+        )
+
 
 class TestSameEdgeTypeConnector:
     def test_link_paths(self, cyclic):
@@ -141,6 +191,19 @@ class TestSameEdgeTypeConnector:
         got = {r["id"] for r in view2.vertices.collect()}
         assert 14 not in got  # f4 is never read
 
+    @pytest.mark.parametrize(
+        "name,etype,max_hops",
+        [("fig3", "WRITES_TO", 3), ("fig3", "IS_READ_BY", 2), ("cyclic", "LINK", 2),
+         ("cyclic", "LINK", 5)],
+    )
+    def test_columns_match_oracle(self, request, name, etype, max_hops):
+        graph = request.getfixturevalue(name)
+        _assert_columns(
+            same_edge_type_connector(graph, etype, max_hops),
+            contracted_sql(max_hops, edge_pred=f"etype = '{etype}'"),
+            request.getfixturevalue(f"{name}_pdf"),
+        )
+
 
 class TestSourceToSinkConnector:
     def test_fig3(self, fig3):
@@ -157,3 +220,14 @@ class TestSourceToSinkConnector:
     def test_max_hops_bound_respected(self, fig3):
         view = source_to_sink_connector(fig3, max_hops=3)
         assert view.edge_count() == 0
+
+    @pytest.mark.parametrize(
+        "name,max_hops", [("fig3", 4), ("fig3", 5), ("fig3", 8), ("cyclic", 4)]
+    )
+    def test_columns_match_oracle(self, request, name, max_hops):
+        graph = request.getfixturevalue(name)
+        _assert_columns(
+            source_to_sink_connector(graph, max_hops),
+            contracted_sql(max_hops, SOURCE, end=SINK),
+            request.getfixturevalue(f"{name}_pdf"),
+        )

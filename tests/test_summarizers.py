@@ -38,6 +38,8 @@ class TestVertexFilters:
         out = vertex_removal(fig3, "cpu > 25")
         got = {r["id"] for r in out.typed_vertices("Job").select("id").collect()}
         assert got == {1, 2}
+        # Files have no cpu: the predicate is NULL, not TRUE, so they stay.
+        assert out.typed_vertices("File").count() == 4
 
     def test_induced_edges_oracle(self, tiny_prov):
         vertices = tiny_prov.vertices.toPandas()
@@ -117,6 +119,15 @@ class TestVertexAggregator:
         with pytest.raises(ValueError, match="type-homogeneous"):
             vertex_aggregator(fig3, "TRUE", group_expr="1")
 
+    def test_null_predicate_rows_pass_through(self, fig3):
+        """Files have no cpu, so ``cpu > 25`` is NULL for them: they are
+        not grouped, and neither they nor their edges are lost."""
+        out = vertex_aggregator(fig3, "cpu > 25", group_expr="1")
+        jobs = {r["id"]: r["cpu"] for r in out.typed_vertices("Job").collect()}
+        assert jobs == {1: 10.0, 2: 20.0, 3: 70.0}
+        assert out.typed_vertices("File").count() == 4
+        assert out.edge_count() == 8
+
     def test_vertex_count_shrinks(self, fig3):
         out = vertex_aggregator(fig3, "vtype = 'Job'", group_expr="pname")
         assert out.vertex_count() == 2 + 4
@@ -144,6 +155,29 @@ class TestEdgeAggregator:
         rows = {(r["etype"]): r["ts"] for r in out.edges.collect()}
         assert rows == {"W": 9, "R": 1}
         assert out.edge_count() == 2
+
+    def test_null_predicate_rows_pass_through(self, spark):
+        import pandas as pd
+
+        from repro.engine import graph_from_pandas
+
+        g = graph_from_pandas(
+            spark,
+            pd.DataFrame({"id": [1, 2], "vtype": ["Job", "File"]}),
+            pd.DataFrame(
+                {
+                    "src": [1, 1, 1],
+                    "dst": [2, 2, 2],
+                    "etype": ["W", "W", "R"],
+                    "ts": pd.array([5, 9, None], dtype="Int64"),
+                }
+            ),
+        )
+        out = edge_aggregator(g, "ts > 3", aggs={"ts": "max"})
+        rows = {(r["etype"]): r["ts"] for r in out.edges.collect()}
+        assert rows == {"W": 9, "R": None}
+        kept = edge_removal(g, "ts > 3")
+        assert [(r["etype"], r["ts"]) for r in kept.edges.collect()] == [("R", None)]
 
     def test_vertices_unchanged(self, fig3):
         out = edge_aggregator(fig3, "TRUE")

@@ -15,7 +15,18 @@ from repro.engine import (
 )
 from repro.oracle import assert_equivalent
 
-from .conftest import khop_pairs_sql, max_ts_sql, var_length_sql
+from .conftest import khop_pairs_sql, max_ts_sql, var_length_sql, walk_count_sql
+
+
+def _walks_oracle(edges, k: int, exclude_loops: bool) -> int:
+    import duckdb
+
+    con = duckdb.connect()
+    try:
+        con.register("edges", edges)
+        return con.execute(walk_count_sql(k, exclude_loops)).fetchone()[0]
+    finally:
+        con.close()
 
 
 class TestKhopPairs:
@@ -77,6 +88,14 @@ class TestVarLengthPairs:
             vertices=vertices,
         )
 
+    @pytest.mark.parametrize("lo,hi", [(1, 0), (3, 2), (-1, 2)])
+    def test_empty_range_rejected(self, fig3, lo, hi):
+        with pytest.raises(ValueError, match="hop range"):
+            var_length_pairs(fig3.edges, lo, hi)
+        files = fig3.typed_vertices("File").select("id")
+        with pytest.raises(ValueError, match="hop range"):
+            var_length_pairs(fig3.edges, lo, hi, zero_vertices=files)
+
     def test_zero_lower_requires_vertices(self, fig3):
         with pytest.raises(ValueError):
             var_length_pairs(fig3.edges, 0, 2)
@@ -92,23 +111,15 @@ class TestWalkCount:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_fig3_counts(self, fig3, fig3_pdf, k):
         _, edges = fig3_pdf
-        import duckdb
+        assert _walks_oracle(edges, k, True) == khop_walk_count(fig3.edges, k)
 
-        con = duckdb.connect()
-        con.register("edges", edges)
-        expected = con.execute(
-            f"""
-            WITH RECURSIVE walk(src, dst, k) AS (
-                SELECT src, dst, 1 FROM edges
-                UNION ALL
-                SELECT w.src, e.dst, w.k + 1 FROM walk w
-                JOIN edges e ON w.dst = e.src WHERE w.k < {k}
-            )
-            SELECT COUNT(*) FROM walk WHERE k = {k} AND src <> dst
-            """
-        ).fetchone()[0]
-        con.close()
-        assert khop_walk_count(fig3.edges, k) == expected
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("exclude_loops", [True, False])
+    def test_cyclic_counts(self, cyclic, cyclic_pdf, k, exclude_loops):
+        _, edges = cyclic_pdf
+        assert _walks_oracle(edges, k, exclude_loops) == khop_walk_count(
+            cyclic.edges, k, exclude_loops=exclude_loops
+        )
 
     def test_cycle_loops_excluded_vs_included(self, cyclic):
         # The triangle contributes closed 3-walks: 0→1→2→0 etc.
